@@ -33,6 +33,7 @@ use std::time::Instant;
 
 #[derive(Serialize)]
 struct Snapshot {
+    commit: String,
     host_parallelism: usize,
     command: String,
     note: String,
@@ -235,6 +236,7 @@ fn main() {
     };
 
     let snapshot = Snapshot {
+        commit: cli::source_commit(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         command: format!(
             "cargo run -p geacc-bench --release --bin resilience{}",

@@ -19,7 +19,7 @@
 
 use geacc_bench::cli;
 use geacc_core::algorithms::{greedy_with, prune_with, GreedyConfig, PruneConfig};
-use geacc_core::engine::CandidateGraph;
+use geacc_core::engine::{CandidateGraph, SortedStreams};
 use geacc_core::parallel::Threads;
 use geacc_datagen::{CapDistribution, SyntheticConfig};
 use serde::Serialize;
@@ -29,6 +29,7 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[derive(Serialize)]
 struct Snapshot {
+    commit: String,
     host_parallelism: usize,
     command: String,
     note: String,
@@ -173,20 +174,26 @@ fn main() {
         }),
         scale("candidate_graph_build", &big_desc, repeats, |threads| {
             // The engine's shared CSR build — the setup cost every
-            // solver dispatch amortizes. Checksum the sorted rows so
-            // the build (and its ordering) cannot be optimized away.
+            // solver dispatch amortizes — plus the first stream entry of
+            // every event and user (what Greedy-GEACC's initialization
+            // reads). Checksumming those heads through the stream API
+            // keeps the build and the first-chunk ordering work from
+            // being optimized away.
             let graph = CandidateGraph::build(&big_instance, threads);
+            let mut streams = SortedStreams::new(&graph);
             let mut checksum = 0.0;
             for v in big_instance.events() {
-                if let (_, &[sim, ..]) = graph.sorted_row(v) {
-                    checksum += sim;
-                }
+                checksum += streams.row_entry(v, 0).map_or(0.0, |(_, sim)| sim);
+            }
+            for u in big_instance.users() {
+                checksum += streams.col_entry(u, 0).map_or(0.0, |(_, sim)| sim);
             }
             (checksum, graph.num_candidates())
         }),
     ];
 
     let snapshot = Snapshot {
+        commit: cli::source_commit(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         command: format!(
             "cargo run -p geacc-bench --release --bin scaling{}",

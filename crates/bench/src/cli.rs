@@ -57,3 +57,19 @@ pub fn threads() -> geacc_core::parallel::Threads {
         None => Threads::from_env(),
     }
 }
+
+/// The source revision a snapshot was measured on, for its provenance
+/// record: `git describe --always --dirty` of the working directory
+/// (a `-dirty` suffix marks uncommitted changes), or `"unknown"` outside
+/// a git checkout.
+pub fn source_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}

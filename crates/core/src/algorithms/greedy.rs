@@ -24,13 +24,18 @@
 //! (`PairSet`) — O(1) untyped loads instead of SipHash on the hot scan
 //! path — falling back to a `HashSet` for outsized domains.
 //!
-//! Neighbour streams are cursors over the shared
-//! [`CandidateGraph`]'s similarity-sorted rows and columns — the same
-//! (sim desc, id asc) yield order the chunked `NeighborOracle` streams
-//! produced, so the arrangement is unchanged, but the candidate index is
-//! built once per instance and shared with every other solver.
+//! Neighbour streams are cursors into a per-solve [`SortedStreams`] over
+//! the shared [`CandidateGraph`]: each event's users and each user's
+//! events in the same (sim desc, id asc) yield order the chunked
+//! `NeighborOracle` streams produce, so the arrangement is unchanged.
+//! The graph stores its rows and columns unsorted; a stream is sorted
+//! lazily, in growing chunks, only as far as the frontier reads it —
+//! the paper's incremental NN expansion. Greedy typically reads a
+//! capacity-bounded prefix: on a dense 500 × 20 000 instance, a median
+//! of a few hundred entries of each 20 000-user row and of about five
+//! of each 500-event column.
 
-use crate::engine::CandidateGraph;
+use crate::engine::{CandidateGraph, SortedStreams};
 use crate::model::arrangement::Arrangement;
 use crate::model::ids::{EventId, UserId};
 use crate::parallel::Threads;
@@ -111,8 +116,9 @@ pub fn greedy_with(inst: &Instance, config: GreedyConfig) -> Arrangement {
 }
 
 /// The engine entry point: Greedy-GEACC over a prebuilt candidate
-/// graph. The graph's sorted rows/columns *are* the neighbour streams,
-/// so no per-solve index work remains.
+/// graph, reading its neighbour streams through a fresh
+/// [`SortedStreams`] — only the prefixes the frontier reaches get
+/// sorted.
 ///
 /// With `meter: Some(_)`, the heap loop (and the initialization scans)
 /// tick it and, when a limit trips, return the pairs matched so far —
@@ -124,84 +130,31 @@ pub fn greedy_on(
     graph: &CandidateGraph,
     meter: Option<&BudgetMeter>,
 ) -> (Arrangement, Option<StopReason>) {
+    greedy_over(graph, &mut SortedStreams::new(graph), meter)
+}
+
+/// [`greedy_on`] over caller-owned streams of `graph`, so a solver that
+/// runs greedy as one phase (Prune's incumbent seed, ALNS's start)
+/// reuses the prefixes it sorts. The result does not depend on what
+/// `streams` has already materialized.
+pub(crate) fn greedy_over(
+    graph: &CandidateGraph,
+    streams: &mut SortedStreams,
+    meter: Option<&BudgetMeter>,
+) -> (Arrangement, Option<StopReason>) {
     let inst = graph.instance();
-    let nu = inst.num_users() as u64;
-    let key = |v: EventId, u: UserId| v.0 as u64 * nu + u.0 as u64;
-
-    let mut arrangement = Arrangement::empty_for(inst);
-    // Per-node stream cursors into the graph's sorted rows/columns.
-    let mut event_pos = vec![0usize; inst.num_events()];
-    let mut user_pos = vec![0usize; inst.num_users()];
-    // Remaining capacities.
-    let mut cap_v: Vec<u32> = inst.events().map(|v| inst.event_capacity(v)).collect();
-    let mut cap_u: Vec<u32> = inst.users().map(|u| inst.user_capacity(u)).collect();
-    // Pairs ever pushed into H / already popped from it.
-    let num_pairs = inst.num_events() as u64 * nu;
-    let mut pushed = PairSet::with_domain(num_pairs);
-    let mut popped = PairSet::with_domain(num_pairs);
-    let mut heap: BinaryHeap<HeapPair> = BinaryHeap::new();
-
-    // Scan `v`'s stream for its next feasible unvisited user; push the
-    // pair unless it is already waiting in H. The cursor consumes
-    // skipped entries exactly like the chunked streams did: a pair
-    // infeasible at scan time can never become feasible again.
-    let scan_event = |v: EventId,
-                      event_pos: &mut [usize],
-                      arrangement: &Arrangement,
-                      cap_u: &[u32],
-                      pushed: &mut PairSet,
-                      popped: &PairSet,
-                      heap: &mut BinaryHeap<HeapPair>| {
-        let (users, sims) = graph.sorted_row(v);
-        let pos = &mut event_pos[v.index()];
-        while *pos < users.len() {
-            let (u, sim) = (UserId(users[*pos]), sims[*pos]);
-            *pos += 1;
-            let k = key(v, u);
-            if popped.contains(k) {
-                continue; // visited
-            }
-            let feasible = cap_u[u.index()] > 0
-                && !inst
-                    .conflicts()
-                    .conflicts_with_any(v, arrangement.events_of(u));
-            if !feasible {
-                continue; // can never become feasible again
-            }
-            if pushed.insert(k) {
-                heap.push(HeapPair { sim, v, u });
-            }
-            return;
-        }
-    };
-    let scan_user = |u: UserId,
-                     user_pos: &mut [usize],
-                     arrangement: &Arrangement,
-                     cap_v: &[u32],
-                     pushed: &mut PairSet,
-                     popped: &PairSet,
-                     heap: &mut BinaryHeap<HeapPair>| {
-        let (events, sims) = graph.sorted_col(u);
-        let pos = &mut user_pos[u.index()];
-        while *pos < events.len() {
-            let (v, sim) = (EventId(events[*pos]), sims[*pos]);
-            *pos += 1;
-            let k = key(v, u);
-            if popped.contains(k) {
-                continue;
-            }
-            let feasible = cap_v[v.index()] > 0
-                && !inst
-                    .conflicts()
-                    .conflicts_with_any(v, arrangement.events_of(u));
-            if !feasible {
-                continue;
-            }
-            if pushed.insert(k) {
-                heap.push(HeapPair { sim, v, u });
-            }
-            return;
-        }
+    let num_pairs = inst.num_events() as u64 * inst.num_users() as u64;
+    let mut f = Frontier {
+        inst,
+        streams,
+        arrangement: Arrangement::empty_for(inst),
+        event_pos: vec![0; inst.num_events()],
+        user_pos: vec![0; inst.num_users()],
+        cap_v: inst.events().map(|v| inst.event_capacity(v)).collect(),
+        cap_u: inst.users().map(|u| inst.user_capacity(u)).collect(),
+        pushed: PairSet::with_domain(num_pairs),
+        popped: PairSet::with_domain(num_pairs),
+        heap: BinaryHeap::new(),
     };
 
     // One unit of budgeted work: a heap pop or an initialization scan.
@@ -209,7 +162,7 @@ pub fn greedy_on(
         () => {
             if let Some(m) = meter {
                 if let Some(reason) = m.tick() {
-                    return (arrangement, Some(reason));
+                    return (f.arrangement, Some(reason));
                 }
             }
         };
@@ -218,71 +171,106 @@ pub fn greedy_on(
     // Initialization (lines 1–9): each side's first NN.
     for v in inst.events() {
         tick!();
-        if cap_v[v.index()] > 0 {
-            scan_event(
-                v,
-                &mut event_pos,
-                &arrangement,
-                &cap_u,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
+        if f.cap_v[v.index()] > 0 {
+            f.scan_event(v);
         }
     }
     for u in inst.users() {
         tick!();
-        if cap_u[u.index()] > 0 {
-            scan_user(
-                u,
-                &mut user_pos,
-                &arrangement,
-                &cap_v,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
+        if f.cap_u[u.index()] > 0 {
+            f.scan_user(u);
         }
     }
 
     // Iteration (lines 11–23).
-    while let Some(HeapPair { sim, v, u }) = heap.pop() {
+    while let Some(HeapPair { sim, v, u }) = f.heap.pop() {
         tick!();
-        popped.insert(key(v, u));
-        if cap_v[v.index()] > 0
-            && cap_u[u.index()] > 0
-            && !inst
-                .conflicts()
-                .conflicts_with_any(v, arrangement.events_of(u))
-        {
-            arrangement.push_unchecked(v, u, sim);
-            cap_v[v.index()] -= 1;
-            cap_u[u.index()] -= 1;
+        f.popped.insert(f.key(v, u));
+        if f.cap_v[v.index()] > 0 && f.cap_u[u.index()] > 0 && !f.conflicted(v, u) {
+            f.arrangement.push_unchecked(v, u, sim);
+            f.cap_v[v.index()] -= 1;
+            f.cap_u[u.index()] -= 1;
         }
-        if cap_v[v.index()] > 0 {
-            scan_event(
-                v,
-                &mut event_pos,
-                &arrangement,
-                &cap_u,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
+        if f.cap_v[v.index()] > 0 {
+            f.scan_event(v);
         }
-        if cap_u[u.index()] > 0 {
-            scan_user(
-                u,
-                &mut user_pos,
-                &arrangement,
-                &cap_v,
-                &mut pushed,
-                &popped,
-                &mut heap,
-            );
+        if f.cap_u[u.index()] > 0 {
+            f.scan_user(u);
         }
     }
-    (arrangement, None)
+    (f.arrangement, None)
+}
+
+/// Greedy-GEACC's working state: the arrangement so far, remaining
+/// capacities, per-node stream cursors, the heap `H`, and the pairs
+/// ever pushed into / popped from it.
+struct Frontier<'i, 's, 'g> {
+    inst: &'i Instance,
+    streams: &'s mut SortedStreams<'g>,
+    arrangement: Arrangement,
+    event_pos: Vec<usize>,
+    user_pos: Vec<usize>,
+    cap_v: Vec<u32>,
+    cap_u: Vec<u32>,
+    pushed: PairSet,
+    popped: PairSet,
+    heap: BinaryHeap<HeapPair>,
+}
+
+impl Frontier<'_, '_, '_> {
+    #[inline]
+    fn key(&self, v: EventId, u: UserId) -> u64 {
+        v.0 as u64 * self.inst.num_users() as u64 + u.0 as u64
+    }
+
+    #[inline]
+    fn conflicted(&self, v: EventId, u: UserId) -> bool {
+        self.inst
+            .conflicts()
+            .conflicts_with_any(v, self.arrangement.events_of(u))
+    }
+
+    /// Scan `v`'s stream for its next feasible unvisited user; push the
+    /// pair unless it is already waiting in H. The cursor consumes
+    /// skipped entries exactly like the chunked streams did: a pair
+    /// infeasible at scan time can never become feasible again.
+    fn scan_event(&mut self, v: EventId) {
+        while let Some((u, sim)) = self.streams.row_entry(v, self.event_pos[v.index()]) {
+            self.event_pos[v.index()] += 1;
+            if self.offer(v, u, sim, self.cap_u[u.index()]) {
+                return;
+            }
+        }
+    }
+
+    /// [`Frontier::scan_event`] for `u`'s stream of events.
+    fn scan_user(&mut self, u: UserId) {
+        while let Some((v, sim)) = self.streams.col_entry(u, self.user_pos[u.index()]) {
+            self.user_pos[u.index()] += 1;
+            if self.offer(v, u, sim, self.cap_v[v.index()]) {
+                return;
+            }
+        }
+    }
+
+    /// One scan step: skip the pair if it is visited or infeasible (the
+    /// counterpart's remaining capacity is `counterpart_cap`), otherwise
+    /// push it unless already waiting in H. Returns whether the scan
+    /// ends here.
+    #[inline]
+    fn offer(&mut self, v: EventId, u: UserId, sim: f64, counterpart_cap: u32) -> bool {
+        let k = self.key(v, u);
+        if self.popped.contains(k) {
+            return false; // visited
+        }
+        if counterpart_cap == 0 || self.conflicted(v, u) {
+            return false; // can never become feasible again
+        }
+        if self.pushed.insert(k) {
+            self.heap.push(HeapPair { sim, v, u });
+        }
+        true
+    }
 }
 
 /// Heap entry ordered by similarity (max first), ties by `(v, u)`

@@ -55,8 +55,8 @@
 //! nothing to `MaxSum`, so the optimal *value* is unchanged — only
 //! technically-infeasible optima are excluded.
 
-use crate::algorithms::greedy::greedy_on;
-use crate::engine::CandidateGraph;
+use crate::algorithms::greedy::greedy_over;
+use crate::engine::{CandidateGraph, SortedStreams};
 use crate::model::arrangement::Arrangement;
 use crate::model::ids::{EventId, UserId};
 use crate::parallel::{SharedBest, Threads};
@@ -206,20 +206,20 @@ struct SearchContext<'a> {
 }
 
 impl<'a> SearchContext<'a> {
-    fn new(graph: &CandidateGraph<'a>, pruning: bool) -> Self {
+    fn new(graph: &CandidateGraph<'a>, streams: &mut SortedStreams, pruning: bool) -> Self {
         let inst = graph.instance();
         let nv = inst.num_events();
         let nu = inst.num_users();
-        // Per-event list = the graph's sorted row (sim desc, id asc over
+        // Per-event list = the row's whole stream (sim desc, id asc over
         // the positive pairs) followed by the zero-similarity users in
         // id-ascending order — exactly the fully-sorted dense row: every
         // zero ties at 0.0 and loses to every positive similarity.
         let mut neighbors: Vec<Vec<(f64, u32)>> = Vec::with_capacity(nv);
         let mut positive = vec![false; nu];
         for v in inst.events() {
-            let (users, sims) = graph.sorted_row(v);
             let mut nbrs: Vec<(f64, u32)> = Vec::with_capacity(nu);
-            nbrs.extend(sims.iter().zip(users.iter()).map(|(&s, &u)| (s, u)));
+            nbrs.extend(streams.row_prefix(v, usize::MAX).map(|(u, s)| (s, u.0)));
+            let (users, _) = graph.row(v);
             for &u in users {
                 positive[u as usize] = true;
             }
@@ -279,10 +279,11 @@ pub fn prune_on(
     let inst = graph.instance();
     let nv = inst.num_events();
     let nu = inst.num_users();
-    let ctx = SearchContext::new(graph, config.enable_pruning);
+    let mut streams = SortedStreams::new(graph);
+    let ctx = SearchContext::new(graph, &mut streams, config.enable_pruning);
 
     let incumbent = if config.enable_pruning && config.greedy_seed {
-        greedy_on(graph, None).0
+        greedy_over(graph, &mut streams, None).0
     } else {
         Arrangement::empty_for(inst)
     };

@@ -47,8 +47,9 @@ mod state;
 pub use operators::{DestroyOp, OPERATORS};
 pub use state::AlnsState;
 
-use crate::algorithms::{greedy_on, Algorithm};
-use crate::engine::{CandidateGraph, EngineStats, SolveParams};
+use crate::algorithms::greedy::greedy_over;
+use crate::algorithms::Algorithm;
+use crate::engine::{CandidateGraph, EngineStats, SolveParams, SortedStreams};
 use crate::model::arrangement::Arrangement;
 use crate::runtime::budget::{BudgetMeter, StopReason};
 use rand::rngs::StdRng;
@@ -152,9 +153,12 @@ where
     F: FnMut(u64, &AlnsState),
 {
     let config = params.alns;
+    // One stream cache for the whole run: the greedy seed and every
+    // repair extend the same lazily sorted prefixes.
+    let mut streams = SortedStreams::new(graph);
     let seeded = match warm {
         Some(w) => w.clone(),
-        None => greedy_on(graph, Some(meter)).0,
+        None => greedy_over(graph, &mut streams, Some(meter)).0,
     };
     let mut state = AlnsState::new(graph, seeded);
     let mut best = state.arrangement().clone();
@@ -190,14 +194,29 @@ where
         evicted.clear();
         inserted.clear();
         let before = state.objective();
-        OPERATORS[op].apply(&mut state, graph, &mut rng, &config, &mut evicted);
+        OPERATORS[op].apply(
+            &mut state,
+            graph,
+            &mut streams,
+            &mut rng,
+            &config,
+            &mut evicted,
+        );
         if evicted.is_empty() {
             // Nothing to destroy (empty incumbent): the search space is
             // exhausted for this operator, keep ticking the budget.
             observe(it, &state);
             continue;
         }
-        operators::repair(&mut state, graph, &evicted, &mut inserted, &mut rng, noise);
+        operators::repair(
+            &mut state,
+            graph,
+            &mut streams,
+            &evicted,
+            &mut inserted,
+            &mut rng,
+            noise,
+        );
         let delta = state.objective() - before;
         let accept = delta >= 0.0 || rng.gen::<f64>() < (delta / temp.max(1e-12)).exp();
         if accept {
@@ -262,6 +281,7 @@ fn roulette(weights: &[f64], rng: &mut StdRng) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::greedy_on;
     use crate::parallel::Threads;
     use crate::toy;
 

@@ -12,7 +12,7 @@
 //! - **conflict-cluster** — pick a random assigned user, evict their
 //!   pairs, and walk each freed event's most-similar candidate stream
 //!   (the [`NeighborOracle`][crate::algorithms::NeighborOracle] yield
-//!   order, materialized as the graph's sorted rows) evicting
+//!   order, read from the run's [`SortedStreams`]) evicting
 //!   assignments that conflict-block those candidates: targeted
 //!   intensification where the conflict graph, not capacity, is what
 //!   binds the objective.
@@ -25,7 +25,7 @@
 
 use super::state::AlnsState;
 use super::AlnsConfig;
-use crate::engine::CandidateGraph;
+use crate::engine::{CandidateGraph, SortedStreams};
 use crate::model::ids::{EventId, UserId};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -75,6 +75,7 @@ impl DestroyOp {
         self,
         state: &mut AlnsState,
         graph: &CandidateGraph,
+        streams: &mut SortedStreams,
         rng: &mut StdRng,
         config: &AlnsConfig,
         evicted: &mut Vec<Move>,
@@ -83,7 +84,9 @@ impl DestroyOp {
         match self {
             DestroyOp::RandomEvents => random_events(state, graph, rng, quota, evicted),
             DestroyOp::WorstPairs => worst_pairs(state, graph, quota, evicted),
-            DestroyOp::ConflictCluster => conflict_cluster(state, graph, rng, quota, evicted),
+            DestroyOp::ConflictCluster => {
+                conflict_cluster(state, graph, streams, rng, quota, evicted)
+            }
         }
     }
 }
@@ -139,6 +142,7 @@ fn worst_pairs(
 fn conflict_cluster(
     state: &mut AlnsState,
     graph: &CandidateGraph,
+    streams: &mut SortedStreams,
     rng: &mut StdRng,
     quota: usize,
     evicted: &mut Vec<Move>,
@@ -163,9 +167,7 @@ fn conflict_cluster(
         // Any assignment conflicting with v from a top candidate's
         // schedule blocks that candidate from attending v — evict it so
         // repair can reconsider the whole cluster.
-        let (users, _) = graph.sorted_row(v);
-        for &cu in users.iter().take(CLUSTER_WIDTH) {
-            let u = UserId(cu);
+        for (u, _) in streams.row_prefix(v, CLUSTER_WIDTH) {
             for w in state.events_of(u).to_vec() {
                 if inst.conflicts().conflicts(v, w) {
                     let wsim = graph.similarity(w, u);
@@ -231,6 +233,7 @@ impl Ord for FrontierPair {
 pub(crate) fn repair(
     state: &mut AlnsState,
     graph: &CandidateGraph,
+    streams: &mut SortedStreams,
     evicted: &[Move],
     inserted: &mut Vec<Move>,
     rng: &mut StdRng,
@@ -259,9 +262,7 @@ pub(crate) fn repair(
         ($v:expr) => {{
             let v: EventId = $v;
             if let Some(pos) = event_pos.get_mut(&v) {
-                let (users, sims) = graph.sorted_row(v);
-                while *pos < users.len() {
-                    let (u, sim) = (UserId(users[*pos]), sims[*pos]);
+                while let Some((u, sim)) = streams.row_entry(v, *pos) {
                     *pos += 1;
                     let k = key(v, u);
                     if popped.contains(&k) || state.contains(v, u) {
@@ -283,9 +284,7 @@ pub(crate) fn repair(
         ($u:expr) => {{
             let u: UserId = $u;
             if let Some(pos) = user_pos.get_mut(&u) {
-                let (events, sims) = graph.sorted_col(u);
-                while *pos < events.len() {
-                    let (v, sim) = (EventId(events[*pos]), sims[*pos]);
+                while let Some((v, sim)) = streams.col_entry(u, *pos) {
                     *pos += 1;
                     let k = key(v, u);
                     if popped.contains(&k) || state.contains(v, u) {
@@ -354,7 +353,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let config = AlnsConfig::default();
             let mut evicted = Vec::new();
-            op.apply(&mut state, &graph, &mut rng, &config, &mut evicted);
+            let mut streams = SortedStreams::new(&graph);
+            op.apply(
+                &mut state,
+                &graph,
+                &mut streams,
+                &mut rng,
+                &config,
+                &mut evicted,
+            );
             assert!(!evicted.is_empty(), "{} evicted nothing", op.name());
             assert!(
                 state.arrangement().validate(&inst).is_empty(),
@@ -362,7 +369,15 @@ mod tests {
                 op.name()
             );
             let mut inserted = Vec::new();
-            repair(&mut state, &graph, &evicted, &mut inserted, &mut rng, 0.0);
+            repair(
+                &mut state,
+                &graph,
+                &mut streams,
+                &evicted,
+                &mut inserted,
+                &mut rng,
+                0.0,
+            );
             assert!(
                 state.arrangement().validate(&inst).is_empty(),
                 "repair after {} infeasible",
@@ -394,15 +409,25 @@ mod tests {
         let before = state.objective();
         let mut rng = StdRng::seed_from_u64(3);
         let mut evicted = Vec::new();
+        let mut streams = SortedStreams::new(&graph);
         DestroyOp::RandomEvents.apply(
             &mut state,
             &graph,
+            &mut streams,
             &mut rng,
             &AlnsConfig::default(),
             &mut evicted,
         );
         let mut inserted = Vec::new();
-        repair(&mut state, &graph, &evicted, &mut inserted, &mut rng, 0.25);
+        repair(
+            &mut state,
+            &graph,
+            &mut streams,
+            &evicted,
+            &mut inserted,
+            &mut rng,
+            0.25,
+        );
         // Reject: undo the move exactly.
         for &(v, u, sim) in inserted.iter().rev() {
             state.evict(&graph, v, u, sim);

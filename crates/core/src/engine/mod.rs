@@ -8,10 +8,11 @@
 //! factors that into three pieces:
 //!
 //! - [`CandidateGraph`] — a borrowed CSR of every positive-similarity
-//!   `(event, user)` pair, with id-ascending rows, similarity-sorted
-//!   rows, and similarity-sorted columns, built once per instance
-//!   (optionally in parallel, bit-identically) and shared by every
-//!   solver;
+//!   `(event, user)` pair, id-ascending rows plus their column
+//!   transpose, built once per instance (optionally in parallel,
+//!   bit-identically) and shared by every solver, which reads
+//!   neighbours in similarity order through a per-solve
+//!   [`SortedStreams`];
 //! - [`Solver`] — `name` / `stage` / [`capabilities`][Solver::capabilities] /
 //!   `solve(&CandidateGraph, &SolveParams, &BudgetMeter) -> Outcome`,
 //!   implemented by all five paper algorithms plus the extensions, with
@@ -31,7 +32,7 @@ mod registry;
 mod solver;
 mod stats;
 
-pub use graph::{CandidateGraph, GraphFlats};
+pub use graph::{CandidateGraph, GraphFlats, SortedStreams};
 pub use registry::{refine_on, solve_instance, solve_on, SolverRegistry, UnknownAlgorithm};
 pub use solver::{
     AlnsSolver, ExactDpSolver, ExhaustiveSolver, GreedySolver, MinCostFlowSolver, PruneSolver,

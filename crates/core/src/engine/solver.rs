@@ -140,7 +140,7 @@ fn failed(graph: &CandidateGraph, err: SolveError, meter: &BudgetMeter) -> Outco
 }
 
 /// Greedy-GEACC (`1/(1 + max c_u)`-approximation) over the graph's
-/// sorted rows and columns.
+/// lazily sorted neighbour streams.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedySolver;
 

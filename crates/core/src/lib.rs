@@ -73,6 +73,7 @@ pub use dynamic::{
 };
 pub use engine::{
     CandidateGraph, EngineStats, GraphFlats, SolveParams, Solver, SolverCaps, SolverRegistry,
+    SortedStreams,
 };
 pub use loader::LoadError;
 pub use model::arrangement::{Arrangement, Violation};

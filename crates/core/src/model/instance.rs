@@ -285,10 +285,7 @@ impl Instance {
             SimilarityModel::Matrix(m) => {
                 out.extend((0..self.num_users()).map(|u| m.get(v.index(), u)));
             }
-            model => {
-                let ev = self.event_attrs(v);
-                out.extend(self.user_attrs.iter().map(|u| model.from_attrs(ev, u)));
-            }
+            model => model.fill_from_attrs(self.event_attrs(v), &self.user_attrs, out),
         }
     }
 
@@ -300,10 +297,7 @@ impl Instance {
             SimilarityModel::Matrix(m) => {
                 out.extend((0..self.num_events()).map(|v| m.get(v, u.index())));
             }
-            model => {
-                let us = self.user_attrs(u);
-                out.extend(self.event_attrs.iter().map(|e| model.from_attrs(e, us)));
-            }
+            model => model.fill_from_attrs(self.user_attrs(u), &self.event_attrs, out),
         }
     }
 

@@ -8,6 +8,7 @@
 //! explicit matrix for instances — like the paper's Table I toy — that
 //! are specified by their interestingness values directly.
 
+use geacc_index::PointSet;
 use serde::{Deserialize, Serialize};
 
 /// How interestingness values are derived for an instance.
@@ -52,12 +53,126 @@ impl SimilarityModel {
         }
     }
 
+    /// `out[i] = self.from_attrs(fixed, points.point(i))` for every point,
+    /// bit for bit — the batch kernel behind
+    /// [`crate::Instance::similarity_row`] / `similarity_column`. The
+    /// model dispatch, the dimensionality check and the Euclidean cube
+    /// diameter `T·√d` are hoisted out of the per-pair loop, and points
+    /// are evaluated four at a time with one accumulator each.
+    /// Every pair still sums its terms in coordinate order from the same
+    /// starting value, so the result bits do not change. Both formulas
+    /// are symmetric bit for bit (`x − y = −(y − x)` and `x·y = y·x`
+    /// exactly in IEEE arithmetic), so `fixed` may be either side.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`SimilarityModel::Matrix`] or if `fixed.len()` differs
+    /// from `points.dim()`.
+    pub fn fill_from_attrs(&self, fixed: &[f64], points: &PointSet, out: &mut Vec<f64>) {
+        assert_eq!(
+            fixed.len(),
+            points.dim(),
+            "attribute dimensionality mismatch"
+        );
+        out.clear();
+        out.reserve(points.len());
+        match self {
+            SimilarityModel::Euclidean { t } => {
+                let diameter = t * (fixed.len() as f64).sqrt();
+                let sim = |d2: f64| (1.0 - d2.sqrt() / diameter).clamp(0.0, 1.0);
+                for_each_lane_group(points, |p: [&[f64]; LANES]| {
+                    out.extend(squared_distances(fixed, p).map(sim))
+                });
+                for p in remainder(points) {
+                    out.push(sim(squared_distances(fixed, [p])[0]));
+                }
+            }
+            SimilarityModel::Cosine => {
+                let fixed_norm2 = fixed.iter().fold(0.0, |acc, x| acc + x * x);
+                let sim = |(dot, norm2): (f64, f64)| {
+                    if fixed_norm2 == 0.0 || norm2 == 0.0 {
+                        0.0
+                    } else {
+                        (dot / (fixed_norm2.sqrt() * norm2.sqrt())).clamp(0.0, 1.0)
+                    }
+                };
+                for_each_lane_group(points, |p: [&[f64]; LANES]| {
+                    let (dot, norm2) = dots_and_norms(fixed, p);
+                    out.extend((0..LANES).map(|j| sim((dot[j], norm2[j]))));
+                });
+                for p in remainder(points) {
+                    let (dot, norm2) = dots_and_norms(fixed, [p]);
+                    out.push(sim((dot[0], norm2[0])));
+                }
+            }
+            SimilarityModel::Matrix(_) => {
+                panic!("matrix similarity is addressed by (event, user) id, not attributes")
+            }
+        }
+    }
+
     /// Whether this model is a monotone decreasing function of Euclidean
     /// distance, i.e. whether spatial NN indexes answer "most similar"
     /// queries exactly.
     pub fn is_distance_monotone(&self) -> bool {
         matches!(self, SimilarityModel::Euclidean { .. })
     }
+}
+
+/// Points evaluated per pass of [`SimilarityModel::fill_from_attrs`]:
+/// independent accumulators the CPU can advance in parallel, where one
+/// pair's running sum is a serial chain of dependent adds.
+const LANES: usize = 4;
+
+/// Call `f` on consecutive groups of [`LANES`] points; the last
+/// `len % LANES` points are left to [`remainder`].
+fn for_each_lane_group<'p>(points: &'p PointSet, mut f: impl FnMut([&'p [f64]; LANES])) {
+    let full = points.len() / LANES * LANES;
+    for i in (0..full).step_by(LANES) {
+        f(std::array::from_fn(|j| points.point(i + j)));
+    }
+}
+
+/// The points [`for_each_lane_group`] leaves over.
+fn remainder(points: &PointSet) -> impl Iterator<Item = &[f64]> {
+    let full = points.len() / LANES * LANES;
+    (full..points.len()).map(|i| points.point(i))
+}
+
+/// `‖q − p_j‖²` for each `p_j`, summed in coordinate order from `-0.0`
+/// — the neutral element `Iterator::sum` starts from, so each lane is
+/// bit-identical to [`geacc_index::squared_distance`].
+#[inline]
+fn squared_distances<const L: usize>(q: &[f64], p: [&[f64]; L]) -> [f64; L] {
+    let d = q.len();
+    let p = p.map(|x| &x[..d]);
+    let mut acc = [-0.0f64; L];
+    for k in 0..d {
+        let x = q[k];
+        for j in 0..L {
+            let diff = x - p[j][k];
+            acc[j] += diff * diff;
+        }
+    }
+    acc
+}
+
+/// `(⟨q, p_j⟩, ‖p_j‖²)` for each `p_j`, summed in coordinate order from
+/// `0.0` exactly as [`cosine_similarity`] does.
+#[inline]
+fn dots_and_norms<const L: usize>(q: &[f64], p: [&[f64]; L]) -> ([f64; L], [f64; L]) {
+    let d = q.len();
+    let p = p.map(|x| &x[..d]);
+    let (mut dot, mut norm2) = ([0.0f64; L], [0.0f64; L]);
+    for k in 0..d {
+        let x = q[k];
+        for j in 0..L {
+            let y = p[j][k];
+            dot[j] += x * y;
+            norm2[j] += y * y;
+        }
+    }
+    (dot, norm2)
 }
 
 /// Equation 1: `1 − ‖a − b‖₂ / √(d·T²)`.
@@ -261,6 +376,61 @@ mod tests {
     fn matrix_from_attrs_panics() {
         let m = SimilarityModel::Matrix(SimMatrix::from_rows(&[vec![0.5]]));
         m.from_attrs(&[0.0], &[0.0]);
+    }
+
+    /// The batch kernel against per-pair `from_attrs`, by bits, in both
+    /// orientations, on random vectors — including lengths that leave a
+    /// remainder after the lane groups, out-of-cube points that clamp to
+    /// 0, and zero vectors under the cosine model.
+    #[test]
+    fn fill_from_attrs_is_bit_identical_to_from_attrs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for dim in [1usize, 2, 3, 5, 20] {
+            for n in [0usize, 1, 3, 4, 9, 30] {
+                let mut points = PointSet::new(dim);
+                for i in 0..n {
+                    let p: Vec<f64> = match i % 5 {
+                        0 => vec![0.0; dim],                                         // zero vector
+                        1 => (0..dim).map(|_| rng.gen_range(50.0..200.0)).collect(), // out of cube
+                        _ => (0..dim).map(|_| rng.gen_range(0.0..10.0)).collect(),
+                    };
+                    points.push(&p);
+                }
+                let fixed_vectors = [
+                    (0..dim)
+                        .map(|_| rng.gen_range(0.0..10.0))
+                        .collect::<Vec<f64>>(),
+                    vec![0.0; dim],
+                    vec![10.0; dim],
+                ];
+                for model in [
+                    SimilarityModel::Euclidean { t: 10.0 },
+                    SimilarityModel::Cosine,
+                ] {
+                    for fixed in &fixed_vectors {
+                        let mut out = Vec::new();
+                        model.fill_from_attrs(fixed, &points, &mut out);
+                        assert_eq!(out.len(), n);
+                        for (i, &s) in out.iter().enumerate() {
+                            let p = points.point(i);
+                            let as_event = model.from_attrs(fixed, p);
+                            let as_user = model.from_attrs(p, fixed);
+                            assert_eq!(s.to_bits(), as_event.to_bits(), "{model:?} d={dim} i={i}");
+                            assert_eq!(s.to_bits(), as_user.to_bits(), "{model:?} d={dim} i={i}");
+                        }
+                    }
+                }
+            }
+        }
+        // The clamp and the zero-vector branch were really exercised.
+        let mut out = Vec::new();
+        let far = PointSet::from_rows(1, [&[100.0][..]]);
+        SimilarityModel::Euclidean { t: 10.0 }.fill_from_attrs(&[0.0], &far, &mut out);
+        assert_eq!(out, vec![0.0]);
+        let zero = PointSet::from_rows(2, [&[0.0, 0.0][..]]);
+        SimilarityModel::Cosine.fill_from_attrs(&[1.0, 2.0], &zero, &mut out);
+        assert_eq!(out, vec![0.0]);
     }
 
     #[test]

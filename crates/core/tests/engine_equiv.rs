@@ -9,7 +9,7 @@
 //! around.
 
 use geacc_core::algorithms::{self, Algorithm, GreedyConfig, PruneConfig};
-use geacc_core::engine::{self, CandidateGraph, SolveParams};
+use geacc_core::engine::{self, CandidateGraph, SolveParams, SortedStreams};
 use geacc_core::parallel::Threads;
 use geacc_core::runtime::{BudgetMeter, SolveStatus};
 use geacc_core::{AlnsConfig, Arrangement, ConflictGraph, EventId, Instance, SimMatrix};
@@ -45,6 +45,32 @@ impl SmallSpec {
         )
         .expect("spec shapes are consistent")
     }
+}
+
+fn bits(sims: &[f64]) -> Vec<u64> {
+    sims.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Every row stream, then every column stream, of `graph` read entry by
+/// entry to its end, as `(id, sim bits)`.
+fn drained_streams(graph: &CandidateGraph) -> Vec<Vec<(u32, u64)>> {
+    let mut streams = SortedStreams::new(graph);
+    let mut out = Vec::new();
+    for v in graph.instance().events() {
+        let mut stream = Vec::new();
+        while let Some((u, s)) = streams.row_entry(v, stream.len()) {
+            stream.push((u.0, s.to_bits()));
+        }
+        out.push(stream);
+    }
+    for u in graph.instance().users() {
+        let mut stream = Vec::new();
+        while let Some((v, s)) = streams.col_entry(u, stream.len()) {
+            stream.push((v.0, s.to_bits()));
+        }
+        out.push(stream);
+    }
+    out
 }
 
 fn small_spec(max_v: usize, max_u: usize) -> impl Strategy<Value = SmallSpec> {
@@ -145,33 +171,24 @@ proptest! {
     }
 
     /// The parallel graph build is bit-identical to the serial one:
-    /// same candidates, same similarities, same sorted orders.
+    /// same candidates, same id-ordered rows, and every row and column
+    /// stream drained to the end in the same order with the same
+    /// similarity bits.
     #[test]
     fn parallel_graph_build_matches_serial(spec in small_spec(4, 8)) {
         let inst = spec.build();
         let serial = CandidateGraph::build(&inst, Threads::single());
+        let serial_streams = drained_streams(&serial);
         for t in [2usize, 4, 8] {
             let parallel = CandidateGraph::build(&inst, Threads::new(t));
             prop_assert_eq!(serial.num_candidates(), parallel.num_candidates());
             for v in inst.events() {
-                prop_assert_eq!(serial.row(v), parallel.row(v), "row {:?} at {} threads", v, t);
-                prop_assert_eq!(
-                    serial.sorted_row(v),
-                    parallel.sorted_row(v),
-                    "sorted row {:?} at {} threads",
-                    v,
-                    t
-                );
+                let (su, ss) = serial.row(v);
+                let (pu, ps) = parallel.row(v);
+                prop_assert_eq!(su, pu, "row {:?} at {} threads", v, t);
+                prop_assert_eq!(bits(ss), bits(ps), "row {:?} sims at {} threads", v, t);
             }
-            for u in inst.users() {
-                prop_assert_eq!(
-                    serial.sorted_col(u),
-                    parallel.sorted_col(u),
-                    "sorted col {:?} at {} threads",
-                    u,
-                    t
-                );
-            }
+            prop_assert_eq!(&serial_streams, &drained_streams(&parallel), "streams at {} threads", t);
         }
     }
 

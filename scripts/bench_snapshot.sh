@@ -2,9 +2,11 @@
 # Regenerate the benchmark snapshots:
 #
 #   BENCH_parallel.json    — thread-scaling for the parallel runtime
-#                            (Prune-GEACC branch-and-bound, prewarmed-
-#                            oracle Greedy, dense similarity build) at
-#                            1/2/4/8 workers;
+#                            (Prune-GEACC branch-and-bound, Greedy over
+#                            the shared candidate graph, dense
+#                            similarity build, candidate-graph build
+#                            plus every stream's head) at 1/2/4/8
+#                            workers;
 #   BENCH_resilience.json  — budget-meter overhead (meterless vs
 #                            unlimited-meter runs, asserted
 #                            bit-identical) plus a 100 ms deadline
@@ -14,7 +16,8 @@
 # Usage: scripts/bench_snapshot.sh [--quick]
 #   --quick  millisecond-scale instances (smoke test, not a measurement)
 #
-# Both snapshots record the host's available parallelism: on a
+# Both snapshots record the source revision (`git describe --dirty`)
+# and the host's available parallelism: on a
 # single-core runner the speedups are ≈ 1× by physics, and the binaries
 # still assert that every configuration produces bit-identical results,
 # which is the part a single core *can* verify.

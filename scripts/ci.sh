@@ -32,9 +32,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 
 echo "== engine differential-equivalence gate =="
 # The refactor contract: every solver through the Solver trait is
-# bit-identical to the paper entry points, at 1 and 4 threads.
+# bit-identical to the paper entry points, at 1 and 4 threads; and the
+# candidate graph's lazily sorted neighbour streams equal the
+# independent NeighborOracle streams element for element.
 GEACC_THREADS=1 cargo test -p geacc-core --test engine_equiv -q
 GEACC_THREADS=4 cargo test -p geacc-core --test engine_equiv -q
+GEACC_THREADS=1 cargo test -p geacc-core --test graph_streams -q
+GEACC_THREADS=4 cargo test -p geacc-core --test graph_streams -q
 
 echo "== cargo test (GEACC_THREADS=1) =="
 GEACC_THREADS=1 cargo test --workspace -q
